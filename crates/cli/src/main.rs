@@ -81,9 +81,10 @@ build --append treats --index as a *segmented* index base: the corpus
 becomes a new immutable segment published atomically in the manifest
 (search then opens the whole live set). build --shards N hash-partitions
 the corpus across N independent segmented indexes under --index (each
-append adds one segment per non-empty shard); search auto-detects the
-sharded layout and fans every query out to all shards in parallel,
-merging results in stable doc-id order. `segments` shows the manifest —
+append adds one segment per non-empty shard); search and bench-serve
+auto-detect the sharded layout and plan every query over all shards'
+segments at once (one postings batch, one document batch), returning
+hits in stable doc-id order. `segments` shows the manifest —
 generation plus each live segment's prefix, size, source blobs, on-wire
 format version, and (for v2 segments) the layer directory's per-section
 byte breakdown (per shard for sharded layouts).
@@ -113,8 +114,9 @@ while readers may still hold the old layout (their queries keep
 working against the old blobs until they reopen).
 
 bench-serve drives a closed-loop workload through a QueryServer (a fixed
-worker pool over one shared Searcher and one shared byte-budgeted cache,
-on a simulated gcs-like cloud link) and prints throughput + tail latency.
+worker pool over one shared engine — single, segmented or sharded, as
+search detects it — and one shared byte-budgeted cache, on a simulated
+gcs-like cloud link) and prints throughput + tail latency.
 The workload cycles the given WORDs, or samples the vocabulary of
 --corpus PREFIX when no WORDs are given.
 
@@ -192,6 +194,27 @@ fn tokenizer_for(ngram: Option<usize>) -> Result<Arc<dyn Tokenizer>, String> {
         Some(0) => Err("--ngram must be at least 1".into()),
         Some(n) => Ok(Arc::new(NgramTokenizer::new(n))),
     }
+}
+
+/// Open whatever lives under `index` as one staged engine: a shard
+/// layout blob marks a *sharded* index (build --shards), a manifest a
+/// *segmented* one (build --append), anything else is a single index.
+/// Every serving path (search, both bench-serve cores) takes this.
+fn open_engine(
+    store: Arc<dyn ObjectStore>,
+    index: &str,
+    tokenizer: Arc<dyn Tokenizer>,
+) -> Result<Arc<dyn StagedEngine>, String> {
+    let open = || -> airphant::Result<Arc<dyn StagedEngine>> {
+        Ok(if ShardRouter::is_sharded(&store, index) {
+            Arc::new(ShardRouter::open(store, index)?.open_searcher_with_tokenizer(tokenizer)?)
+        } else if store.exists(&format!("{index}/manifest")) {
+            Arc::new(SegmentManager::new(store, index).open_with_tokenizer(tokenizer)?)
+        } else {
+            Arc::new(Searcher::open_with_tokenizer(store, index, tokenizer)?)
+        })
+    };
+    open().map_err(|e| e.to_string())
 }
 
 fn open_corpus(
@@ -740,13 +763,6 @@ fn search(args: &mut Args) -> Result<(), String> {
         Some(s) => s.clone(),
         None => store,
     };
-    // A shard layout under the prefix means a *sharded* index (created
-    // via build --shards): scatter the query across every shard. A
-    // manifest means a *segmented* index (build --append): open the
-    // whole live set instead of one header.
-    let sharded = ShardRouter::is_sharded(&store, &index);
-    let segmented = store.exists(&format!("{index}/manifest"));
-
     if let Some(ms) = timeout_ms {
         if top_k.is_some() {
             return Err("--timeout-ms and --top cannot be combined".into());
@@ -754,7 +770,7 @@ fn search(args: &mut Args) -> Result<(), String> {
         if words.len() != 1 || substring.is_some() || prefix.is_some() || fuzzy.is_some() {
             return Err("--timeout-ms applies to a single WORD lookup".into());
         }
-        if segmented || sharded {
+        if ShardRouter::is_sharded(&store, &index) || store.exists(&format!("{index}/manifest")) {
             return Err("--timeout-ms applies to a single-segment index".into());
         }
         let searcher = Searcher::open_with_tokenizer(store, &index, tokenizer_for(ngram)?)
@@ -775,23 +791,9 @@ fn search(args: &mut Args) -> Result<(), String> {
         &words, any, substring, ngram, gram, prefix, fuzzy, max_edits,
     )?;
     let opts = QueryOptions::new().with_top_k(top_k);
-    let result = if sharded {
-        let router = ShardRouter::open(store, &index).map_err(|e| e.to_string())?;
-        let searcher = router
-            .open_searcher_with_tokenizer(tokenizer_for(ngram)?)
-            .map_err(|e| e.to_string())?;
-        searcher.execute(&query, &opts).map_err(|e| e.to_string())?
-    } else if segmented {
-        let mgr = SegmentManager::new(store, &index);
-        let searcher = mgr
-            .open_with_tokenizer(tokenizer_for(ngram)?)
-            .map_err(|e| e.to_string())?;
-        searcher.execute(&query, &opts).map_err(|e| e.to_string())?
-    } else {
-        let searcher = Searcher::open_with_tokenizer(store, &index, tokenizer_for(ngram)?)
-            .map_err(|e| e.to_string())?;
-        searcher.execute(&query, &opts).map_err(|e| e.to_string())?
-    };
+    let result = open_engine(store, &index, tokenizer_for(ngram)?)?
+        .execute(&query, &opts)
+        .map_err(|e| e.to_string())?;
 
     println!(
         "{} hit(s) in {} simulated ({} round trip(s), {} requests, {} bytes, {} FP filtered)",
@@ -950,12 +952,11 @@ fn bench_serve(args: &mut Args) -> Result<(), String> {
         None => sim,
     };
     let cache = Arc::new(CachedStore::new(below_cache, cache_kb << 10));
-    let searcher = Searcher::open_with_tokenizer(
+    let engine = open_engine(
         cache.clone() as Arc<dyn ObjectStore>,
         &index,
         tokenizer_for(ngram)?,
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
 
     let mut config = ServerConfig::new()
         .with_workers(workers)
@@ -964,8 +965,8 @@ fn bench_serve(args: &mut Args) -> Result<(), String> {
         config = config.with_deadline(SimDuration::from_millis(ms));
     }
     let cache_for_stats = cache.clone();
-    let mut server = QueryServer::start(Arc::new(searcher), config)
-        .with_cache_stats(move || cache_for_stats.hit_stats());
+    let mut server =
+        QueryServer::start(engine, config).with_cache_stats(move || cache_for_stats.hit_stats());
     if let Some(s) = &scheduler {
         let s = s.clone();
         server = server.with_scheduler_stats(move || s.stats());
@@ -1047,12 +1048,11 @@ fn bench_serve_async(p: BenchServeAsync) -> Result<(), String> {
         0xC0FFEE,
     ));
     let cache = Arc::new(CachedStore::new(sim, p.cache_kb << 10));
-    let searcher = Searcher::open_with_tokenizer(
+    let engine = open_engine(
         cache.clone() as Arc<dyn ObjectStore>,
         &p.index,
         tokenizer_for(p.ngram)?,
-    )
-    .map_err(|e| e.to_string())?;
+    )?;
 
     let mut config = AsyncServerConfig::new().with_executor_threads(p.workers);
     if let Some(cap) = p.queue_cap {
@@ -1071,7 +1071,7 @@ fn bench_serve_async(p: BenchServeAsync) -> Result<(), String> {
         });
     }
     let cache_for_stats = cache.clone();
-    let mut server = AsyncQueryServer::start(Arc::new(searcher) as Arc<dyn StagedEngine>, config)
+    let mut server = AsyncQueryServer::start(engine, config)
         .with_cache_stats(move || cache_for_stats.hit_stats());
     if p.hedge_pct.is_some() {
         let replica: Arc<dyn ObjectStore> = Arc::new(SimulatedCloudStore::new(
@@ -1229,5 +1229,54 @@ mod tests {
     #[test]
     fn compose_empty_is_an_error() {
         assert!(compose(&[], false, None, None, 3).is_err());
+    }
+
+    /// Run one CLI command against the store directory `dir`.
+    fn cli(dir: &std::path::Path, command: &str, rest: &str) -> Result<(), String> {
+        let mut argv = owned(&[command, "--store", dir.to_str().expect("utf-8 temp dir")]);
+        argv.extend(rest.split_whitespace().map(str::to_string));
+        run(&argv)
+    }
+
+    #[test]
+    fn search_and_both_bench_serve_cores_open_sharded_and_segmented_indexes() {
+        let dir = std::env::temp_dir().join(format!("airphant-cli-open-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("corpus")).unwrap();
+        let lines: Vec<String> = (0..40)
+            .map(|i| format!("error disk{} host{}", i % 5, i))
+            .collect();
+        std::fs::write(dir.join("corpus/log"), lines.join("\n")).unwrap();
+
+        cli(
+            &dir,
+            "build",
+            "--corpus corpus/ --index sh --shards 4 --bins 64",
+        )
+        .unwrap();
+        cli(
+            &dir,
+            "build",
+            "--corpus corpus/ --index seg --append --bins 64",
+        )
+        .unwrap();
+        cli(&dir, "build", "--corpus corpus/ --index one --bins 64").unwrap();
+        for index in ["sh", "seg", "one"] {
+            cli(&dir, "search", &format!("--index {index} error disk3")).unwrap();
+            cli(
+                &dir,
+                "bench-serve",
+                &format!("--index {index} --queries 8 --workers 2 error disk1"),
+            )
+            .unwrap_or_else(|e| panic!("sync bench-serve on {index}: {e}"));
+            cli(
+                &dir,
+                "bench-serve",
+                &format!("--index {index} --clients 8 --workers 2 --hedge-pct 95 error disk1"),
+            )
+            .unwrap_or_else(|e| panic!("async bench-serve on {index}: {e}"));
+        }
+        assert!(cli(&dir, "bench-serve", "--index missing --queries 1 error").is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -267,14 +267,17 @@ impl AdmissionController {
         //    style estimate — the smoothed sojourn scaled by how full the
         //    in-flight set is. If even that optimistic figure blows the
         //    deadline, admitting only wastes backend reads. Cold start
-        //    (no observed completion yet) admits optimistically. Runs
-        //    *before* the token bucket so a deadline shed never drains the
-        //    tenant's quota — every shed path rejects with the bucket
-        //    untouched.
+        //    (no observed completion yet) admits optimistically, and so
+        //    does an empty in-flight set: the estimate then describes no
+        //    queue at all, and only a completion can correct it — shedding
+        //    here would shed every arrival forever. That arrival is the
+        //    probe. Runs *before* the token bucket so a deadline shed
+        //    never drains the tenant's quota — every shed path rejects
+        //    with the bucket untouched.
         if let (Some(deadline), Some(sojourn)) = (self.config.deadline, self.ewma_sojourn) {
             let load = 1.0 + self.in_flight as f64 / self.config.max_in_flight.max(1) as f64;
             let estimate = sojourn * load;
-            if estimate > deadline.as_secs_f64() {
+            if self.in_flight > 0 && estimate > deadline.as_secs_f64() {
                 self.stats.shed_deadline += 1;
                 return Err(SubmitError::Overloaded {
                     class,
@@ -460,12 +463,51 @@ mod tests {
     fn deadline_infeasible_arrivals_are_shed() {
         let cfg = AdmissionConfig::with_max_in_flight(100).with_deadline(ms(10));
         let mut ctl = AdmissionController::new(cfg);
-        // Teach the EWMA that sojourns run ~200ms.
+        // Teach the EWMA that sojourns run ~200ms, with a second query
+        // still in flight (an empty set admits its next arrival as the
+        // probe — see the lock-out regression below).
+        ctl.try_admit(Priority::High, None, ms(0)).unwrap();
         ctl.try_admit(Priority::High, None, ms(0)).unwrap();
         ctl.on_complete(ms(200));
         let err = ctl.try_admit(Priority::High, None, ms(1)).unwrap_err();
         assert!(matches!(err, SubmitError::Overloaded { .. }));
         assert_eq!(ctl.stats().shed_deadline, 1);
+    }
+
+    #[test]
+    fn deadline_sheds_recover_once_the_queue_drains() {
+        // Regression: once the EWMA passed the deadline every arrival was
+        // shed, so nothing completed and the estimate never moved again.
+        let cfg = AdmissionConfig::with_max_in_flight(100).with_deadline(ms(100));
+        let mut ctl = AdmissionController::new(cfg);
+        ctl.try_admit(Priority::High, None, ms(0)).unwrap();
+        ctl.on_complete(ms(200));
+        assert_eq!(ctl.in_flight(), 0);
+        // Nothing in flight: the next arrival is the probe, and while it
+        // runs the stale estimate still sheds its neighbours.
+        ctl.try_admit(Priority::High, None, ms(1)).unwrap();
+        assert!(ctl.try_admit(Priority::High, None, ms(1)).is_err());
+        assert_eq!(ctl.stats().shed_deadline, 1);
+        // Two fast completions later no arrival at an idle server has
+        // been shed ...
+        ctl.on_complete(ms(10));
+        ctl.try_admit(Priority::High, None, ms(20)).unwrap();
+        ctl.on_complete(ms(10));
+        ctl.try_admit(Priority::High, None, ms(40)).unwrap();
+        assert_eq!(ctl.stats().shed_deadline, 1);
+        // ... and a few more pull the estimate under the deadline, after
+        // which a busy server admits again too.
+        for i in 0..6 {
+            ctl.on_complete(ms(10));
+            ctl.try_admit(Priority::High, None, ms(60 + 20 * i))
+                .unwrap();
+        }
+        assert!(ctl.sojourn_estimate_secs() < 0.1);
+        ctl.try_admit(Priority::High, None, ms(200)).unwrap();
+        assert_eq!(ctl.in_flight(), 2);
+        let stats = ctl.stats();
+        assert_eq!(stats.shed_deadline, 1);
+        assert_eq!(stats.submitted, stats.admitted + stats.shed_total());
     }
 
     #[test]
@@ -480,7 +522,9 @@ mod tests {
         let mut ctl = AdmissionController::new(cfg);
         ctl.try_admit(Priority::High, Some("t"), ms(0)).unwrap();
         assert_eq!(ctl.buckets.get("t").unwrap().tokens, 1.0);
-        // Teach the EWMA that sojourns run ~200ms >> the 10ms deadline.
+        // Teach the EWMA that sojourns run ~200ms >> the 10ms deadline,
+        // with an untenanted query still in flight.
+        ctl.try_admit(Priority::High, None, ms(0)).unwrap();
         ctl.on_complete(ms(200));
         let err = ctl.try_admit(Priority::High, Some("t"), ms(1)).unwrap_err();
         assert!(matches!(err, SubmitError::Overloaded { .. }));

@@ -79,8 +79,19 @@ pub trait SearchEngine: Send + Sync {
 /// `Vec<&Searcher>`).
 pub trait StagedEngine: SearchEngine {
     /// Invoke `f` with this engine's live segment set. The slice is only
-    /// valid for the duration of the call.
+    /// valid for the duration of the call. All segments live in one
+    /// store: the planner dispatches through the first one's.
     fn with_segments(&self, f: &mut dyn FnMut(&[&crate::Searcher]));
+
+    /// Whether this engine promises hits in stable `(blob, offset, len)`
+    /// order rather than segment order (append order for segmented and
+    /// live indexes). The shared merge stage sorts before `top_k`
+    /// truncates, so every driver of the staged planner (direct, sync
+    /// pool, async core) keeps the same `k`. True for sharded engines,
+    /// where hash routing makes segment order meaningless to a caller.
+    fn doc_id_order(&self) -> bool {
+        false
+    }
 }
 
 impl SearchEngine for crate::Searcher {

@@ -266,7 +266,7 @@ impl SearchEngine for Memtable {
 
     fn execute(&self, query: &Query, opts: &QueryOptions) -> Result<SearchResult> {
         self.with_searcher(|s| match s {
-            Some(s) => crate::plan::execute_over(&[s], query, opts),
+            Some(s) => crate::plan::execute_over(&[s], query, opts, false),
             None => Ok(SearchResult {
                 hits: Vec::new(),
                 trace: QueryTrace::new(),
@@ -574,7 +574,7 @@ impl SearchEngine for LiveIndex {
     }
 
     fn execute(&self, query: &Query, opts: &QueryOptions) -> Result<SearchResult> {
-        self.with_all_segments(|refs| crate::plan::execute_over(refs, query, opts))?
+        self.with_all_segments(|refs| crate::plan::execute_over(refs, query, opts, false))?
     }
 
     fn index_bytes(&self) -> u64 {

@@ -260,6 +260,12 @@ pub(crate) fn plan_documents(
 /// plan had requests; the caller records the batch on `trace` before
 /// calling (sync and async drivers charge different waits).
 ///
+/// `doc_id_order` is the engine's
+/// [`StagedEngine::doc_id_order`](crate::StagedEngine::doc_id_order):
+/// when set, hits are sorted by `(blob, offset, len)` *before* `top_k`
+/// truncates, so the kept `k` are the first by doc id over every fetched
+/// candidate.
+///
 /// This intentionally does not reuse `retrieval::fetch_and_filter`: that
 /// helper issues its own `get_ranges` per call with a single blob
 /// resolver, while this pass must keep documents from *all* segments
@@ -272,6 +278,7 @@ pub(crate) fn complete_documents(
     plan: &DocPlan,
     batch: Option<&BatchFetch>,
     mut trace: QueryTrace,
+    doc_id_order: bool,
 ) -> SearchResult {
     let mut hits = Vec::new();
     let mut dropped = 0usize;
@@ -296,6 +303,9 @@ pub(crate) fn complete_documents(
             } else {
                 dropped += 1;
             }
+        }
+        if doc_id_order {
+            hits.sort_by(|a, b| (&a.blob, a.offset, a.len).cmp(&(&b.blob, b.offset, b.len)));
         }
         trace.record_compute(SimDuration::from_secs_f64(
             filter_start.elapsed().as_secs_f64(),
@@ -328,6 +338,7 @@ pub(crate) fn execute_over(
     segments: &[&Searcher],
     query: &Query,
     opts: &QueryOptions,
+    doc_id_order: bool,
 ) -> Result<SearchResult> {
     // Resolve vocabulary atoms (Prefix/Fuzzy/short Substring) to term
     // unions first; the expanded query drives BOTH the postings algebra
@@ -353,6 +364,7 @@ pub(crate) fn execute_over(
         &doc_plan,
         batch.as_ref(),
         trace,
+        doc_id_order,
     ))
 }
 

@@ -362,7 +362,7 @@ impl Searcher {
         query: &crate::Query,
         opts: &crate::QueryOptions,
     ) -> Result<SearchResult> {
-        crate::plan::execute_over(&[self], query, opts)
+        crate::plan::execute_over(&[self], query, opts, false)
     }
 
     /// Index-lookup phase of [`Searcher::execute`] only: resolve the whole

@@ -422,7 +422,7 @@ impl SegmentedSearcher {
         opts: &crate::QueryOptions,
     ) -> Result<SearchResult> {
         let refs: Vec<&Searcher> = self.searchers.iter().collect();
-        crate::plan::execute_over(&refs, query, opts)
+        crate::plan::execute_over(&refs, query, opts, false)
     }
 
     /// Index-lookup phase only: the whole query's candidate postings,

@@ -1077,6 +1077,7 @@ fn documents_step(segments: &[&crate::Searcher], flight: &mut Flight) -> StepOut
             &plan,
             None,
             flight.trace.clone(),
+            false, // no batch, so no hits to order
         );
         StepOutcome::Done(result)
     } else {
@@ -1599,6 +1600,7 @@ fn process_storage_done(shared: &AsyncShared, at: SimDuration, id: u64, epoch: u
                     &plan,
                     Some(&pending.batch),
                     flight.trace.clone(),
+                    shared.engine.doc_id_order(),
                 ));
             });
             let result = result.expect("with_segments invokes its callback");

@@ -1,10 +1,11 @@
 //! Horizontal sharding: hash-partitioned corpora across N independent
-//! segmented indexes, served with scatter-gather query execution.
+//! segmented indexes, served as one flat segment list by the shared
+//! staged planner.
 //!
-//! A single (even segmented) index funnels every query through one
-//! sketch and one postings-fetch path; the scale-out axis is
-//! partitioning the *corpus itself*. A [`ShardRouter`] owns a sharded
-//! layout under one base prefix:
+//! A single (even segmented) index funnels every build and compaction
+//! through one manifest; the scale-out axis is partitioning the *corpus
+//! itself*. A [`ShardRouter`] owns a sharded layout under one base
+//! prefix:
 //!
 //! ```text
 //! {base}/shards                  the layout blob: "airphant-shards v2"
@@ -33,16 +34,20 @@
 //! ([`Corpus::with_doc_filter`]) — the same filtered-rebuild path
 //! resharding migrates documents through.
 //!
-//! **Scatter-gather.** [`ShardedSearcher`] implements
-//! [`SearchEngine`]: a query fans out to all shards in parallel (each
-//! shard runs the ordinary single-batch planner over its own segments),
-//! then the per-shard results merge deterministically — hits in stable
-//! doc-id order (`(blob, offset)`), counters summed, and the trace
-//! combined with [`QueryTrace::merge_parallel`] so round trips report
-//! the **max over shards** (the fan-out overlaps) rather than the sum.
-//! Sharding therefore preserves the paper's constant-round-trip
-//! property: an N-shard lookup is still one dependent postings round
-//! trip followed by one document round trip.
+//! **Shards are segments.** Sharding partitions writes; reads do not
+//! need to know. All shards live in one store, so a [`ShardedSearcher`]
+//! is a [`StagedEngine`](crate::StagedEngine) whose segment set is every
+//! shard's segments in shard order, and a query is one run of the
+//! ordinary planner (`crate::plan`) over that list: one `get_ranges`
+//! batch carries every shard's superpost reads, one more every surviving
+//! candidate document, whatever N is — no per-shard thread, batch, or
+//! gather step, and the direct path, the sync pool and the async core
+//! return the same bytes. The one thing a sharded engine adds is its hit
+//! order: hash routing makes segment order meaningless to a caller, so
+//! it asks the shared merge stage for stable `(blob, offset, len)` order
+//! ([`StagedEngine::doc_id_order`](crate::StagedEngine::doc_id_order)),
+//! applied before `top_k` truncates. Routing makes shards disjoint, so
+//! no dedup is needed.
 //!
 //! **Refresh.** A [`ShardedSearcher`] is an immutable snapshot of every
 //! shard's manifest generation. After appends or compactions, reopen
@@ -57,6 +62,7 @@ use crate::config::AirphantConfig;
 use crate::error::AirphantError;
 use crate::query::{Query, QueryOptions};
 use crate::result::SearchResult;
+use crate::searcher::Searcher;
 use crate::segments::{SegmentManager, SegmentedSearcher};
 use crate::Result;
 use airphant_corpus::{
@@ -291,7 +297,7 @@ pub struct ShardAppend {
 
 /// Manages a sharded index layout: creates the per-shard segmented
 /// indexes, routes appends, runs per-shard compaction, and opens
-/// scatter-gather searchers.
+/// searchers over the whole shard set.
 pub struct ShardRouter {
     store: Arc<dyn ObjectStore>,
     base: String,
@@ -558,8 +564,8 @@ impl ShardRouter {
             .collect()
     }
 
-    /// Open a scatter-gather searcher over every shard's live segment
-    /// set (whitespace tokenizer).
+    /// Open a searcher over every shard's live segment set (whitespace
+    /// tokenizer).
     pub fn open_searcher(&self) -> Result<ShardedSearcher> {
         self.open_searcher_with_tokenizer(Arc::new(WhitespaceTokenizer))
     }
@@ -719,8 +725,9 @@ impl ShardRouter {
     }
 }
 
-/// A scatter-gather query server over N shard snapshots — a consistent
-/// view of every shard's manifest generation at open time.
+/// A query engine over N shard snapshots — a consistent view of every
+/// shard's manifest generation at open time, planned as one segment
+/// list.
 pub struct ShardedSearcher {
     shards: Vec<SegmentedSearcher>,
     layout_generation: u64,
@@ -749,82 +756,22 @@ impl ShardedSearcher {
         self.shards.iter().map(|s| s.generation()).collect()
     }
 
-    /// Scatter `op` across the shards in parallel and gather the
-    /// per-shard outcomes in shard order. Shard-thread panics resume on
-    /// the caller (where the serving layer's catch_unwind contains
-    /// them).
-    fn scatter<T: Send>(
-        &self,
-        op: impl Fn(&SegmentedSearcher) -> Result<T> + Sync,
-    ) -> Vec<Result<T>> {
-        if self.shards.len() <= 1 {
-            return self.shards.iter().map(&op).collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(|| op(shard)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        })
+    /// Every shard's segments, in shard order: what the planner sees.
+    fn segments(&self) -> Vec<&Searcher> {
+        self.shards.iter().flat_map(|s| s.segments()).collect()
     }
 
-    /// Execute a [`Query`] across every shard in parallel and merge:
-    /// hits in stable doc-id order (`(blob, offset)` — routing makes
-    /// shards disjoint, so no dedup is needed), candidate/false-positive
-    /// counters summed, and the trace merged with
-    /// [`QueryTrace::merge_parallel`] so the reported round trips are
-    /// the max over shards (the fan-out overlaps), not the sum.
+    /// Execute a [`Query`] over every shard's segments in one planner
+    /// run: one postings batch, one document batch, hits in stable
+    /// doc-id order (`(blob, offset, len)`) before `top_k` truncates.
     pub fn execute(&self, query: &Query, opts: &QueryOptions) -> Result<SearchResult> {
-        let gathered = self.scatter(|shard| shard.execute(query, opts));
-        let mut hits = Vec::new();
-        let mut traces = Vec::with_capacity(gathered.len());
-        let mut candidates = 0usize;
-        let mut dropped = 0usize;
-        for outcome in gathered {
-            let result = outcome?;
-            hits.extend(result.hits);
-            traces.push(result.trace);
-            candidates += result.candidates;
-            dropped += result.false_positives_removed;
-        }
-        hits.sort_by(|a, b| {
-            a.blob
-                .cmp(&b.blob)
-                .then(a.offset.cmp(&b.offset))
-                .then(a.len.cmp(&b.len))
-        });
-        if let Some(k) = opts.top_k {
-            hits.truncate(k);
-        }
-        Ok(SearchResult {
-            hits,
-            trace: if opts.capture_trace {
-                QueryTrace::merge_parallel(&traces)
-            } else {
-                QueryTrace::new()
-            },
-            candidates,
-            false_positives_removed: dropped,
-        })
+        crate::plan::execute_over(&self.segments(), query, opts, true)
     }
 
-    /// Index-lookup phase only: every shard's candidate postings,
-    /// unioned, with the merged (max-over-shards) lookup trace.
+    /// Index-lookup phase only: the union of every shard's candidate
+    /// postings from one batch, with the lookup trace.
     pub fn execute_lookup(&self, query: &Query) -> Result<(PostingsList, QueryTrace)> {
-        let gathered = self.scatter(|shard| shard.execute_lookup(query));
-        let mut postings = PostingsList::new();
-        let mut traces = Vec::with_capacity(gathered.len());
-        for outcome in gathered {
-            let (list, trace) = outcome?;
-            postings.union_with(&list);
-            traces.push(trace);
-        }
-        Ok((postings, QueryTrace::merge_parallel(&traces)))
+        crate::plan::lookup_over(&self.segments(), query)
     }
 
     /// Single-keyword search across all shards; thin shim over
@@ -867,8 +814,18 @@ impl crate::SearchEngine for ShardedSearcher {
     }
 }
 
+impl crate::StagedEngine for ShardedSearcher {
+    fn with_segments(&self, f: &mut dyn FnMut(&[&Searcher])) {
+        f(&self.segments());
+    }
+
+    fn doc_id_order(&self) -> bool {
+        true
+    }
+}
+
 // One sharded snapshot behind one `Arc` serves every worker of a
-// `QueryServer`, same as the single-index engines.
+// `QueryServer` or `AsyncQueryServer`, same as the single-index engines.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardRouter>();
@@ -1108,7 +1065,7 @@ mod tests {
     }
 
     #[test]
-    fn scatter_gather_trace_reports_max_over_shards_round_trips() {
+    fn a_query_over_all_shards_is_one_postings_and_one_documents_batch() {
         let store = Arc::new(SimulatedCloudStore::new(
             InMemoryStore::new(),
             LatencyModel::gcs_like(),
@@ -1116,26 +1073,43 @@ mod tests {
         ));
         let dyn_store: Arc<dyn ObjectStore> = store.clone();
         let router = ShardRouter::create(dyn_store.clone(), "idx", 4).unwrap();
-        let docs = lines("r", 48);
-        let corpus = corpus_of(dyn_store.clone(), "c/a", &docs);
-        router.append(&corpus, &config()).unwrap();
+        // Two appends: every shard holds two segments.
+        for batch in 0..2 {
+            let docs = lines(&format!("r{batch}x"), 24);
+            let corpus = corpus_of(dyn_store.clone(), &format!("c/r{batch}"), &docs);
+            router.append(&corpus, &config()).unwrap();
+        }
         let searcher = router.open_searcher().unwrap();
+        assert!(searcher.shards().iter().all(|s| s.segments().len() == 2));
 
+        store.reset_stats();
         let (_, lookup_trace) = searcher.execute_lookup(&Query::term("shared")).unwrap();
-        assert_eq!(
-            lookup_trace.round_trips(),
-            1,
-            "4-shard fan-out is still one dependent lookup round trip"
-        );
+        assert_eq!(store.stats().batches, 1, "8 segments, one lookup batch");
+        assert_eq!(lookup_trace.round_trips(), 1);
+
+        store.reset_stats();
         let r = searcher
             .execute(&Query::term("shared"), &QueryOptions::new())
             .unwrap();
         assert_eq!(r.hits.len(), 48);
         assert_eq!(
-            r.trace.round_trips(),
+            store.stats().batches,
             2,
-            "lookup + documents, max over shards (not 2 x 4)"
+            "one postings batch + one documents batch across 4 shards x 2 segments"
         );
+        assert_eq!(r.trace.round_trips(), 2);
+
+        // A layout whose shards are all empty has nothing to read.
+        let empty = ShardRouter::create(dyn_store, "empty", 4)
+            .unwrap()
+            .open_searcher()
+            .unwrap();
+        store.reset_stats();
+        let r = empty
+            .execute(&Query::term("shared"), &QueryOptions::new())
+            .unwrap();
+        assert!(r.hits.is_empty());
+        assert_eq!(store.stats().batches, 0);
     }
 
     #[test]

@@ -3,11 +3,15 @@
 //! byte-for-byte unchanged — for random query ASTs over a zipf corpus,
 //! sequentially and from 8 concurrent threads — while searchers opened
 //! *before* the reshard keep serving the superseded generation until
-//! it is garbage-collected.
+//! it is garbage-collected — directly and, byte for byte, through the
+//! async core with hedging on.
 
-use airphant::{AirphantConfig, Query, QueryOptions, SearchHit, ShardRouter};
+use airphant::{
+    AirphantConfig, AsyncQueryServer, AsyncServerConfig, HedgeConfig, Query, QueryOptions,
+    SearchHit, ShardRouter, ShardedSearcher, SubmitSpec,
+};
 use airphant_corpus::{synth::word_token, zipf, LineSplitter, SyntheticSpec, WhitespaceTokenizer};
-use airphant_storage::{InMemoryStore, ObjectStore};
+use airphant_storage::{InMemoryStore, LatencyModel, ObjectStore, SimulatedCloudStore};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -58,14 +62,19 @@ fn ast_from_tape(tape: &[(u8, u16)]) -> Query {
     }
 }
 
-/// A zipf corpus sharded `n` ways under `idx` in a fresh store.
+/// A zipf corpus sharded `n` ways under `idx` in a fresh store, behind a
+/// simulated cloud link so served batches have latencies to hedge on.
 fn build_sharded(
     n: usize,
     n_docs: u64,
     corpus_seed: u64,
     build_seed: u64,
 ) -> (Arc<dyn ObjectStore>, ShardRouter) {
-    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let store: Arc<dyn ObjectStore> = Arc::new(SimulatedCloudStore::new(
+        InMemoryStore::new(),
+        LatencyModel::gcs_like(),
+        corpus_seed,
+    ));
     let spec = SyntheticSpec {
         n_docs,
         n_vocab: 60,
@@ -75,6 +84,36 @@ fn build_sharded(
     let router = ShardRouter::create(store.clone(), "idx", n).unwrap();
     router.append(&corpus, &config(build_seed)).unwrap();
     (store, router)
+}
+
+/// Every `(query, options)` pair through a caller-pumped async core over
+/// `searcher`, hedging on: the served hits, in submission order.
+fn serve(
+    searcher: &Arc<ShardedSearcher>,
+    replica: &Arc<dyn ObjectStore>,
+    work: &[(Query, QueryOptions)],
+) -> Vec<Vec<SearchHit>> {
+    let hedge = HedgeConfig {
+        percentile: 0.5,
+        min_samples: 2,
+        budget_fraction: 1.0,
+    };
+    let server = AsyncQueryServer::start(
+        searcher.clone(),
+        AsyncServerConfig::new()
+            .with_executor_threads(0)
+            .with_hedge(hedge),
+    )
+    .with_hedge_backend(replica.clone());
+    let tickets: Vec<_> = work
+        .iter()
+        .map(|(q, o)| server.submit_at(q.clone(), o.clone(), SubmitSpec::new()))
+        .collect();
+    server.drain();
+    tickets
+        .into_iter()
+        .map(|t| t.wait().result.expect("served").hits)
+        .collect()
 }
 
 proptest! {
@@ -93,11 +132,12 @@ proptest! {
             prop::collection::vec((0u8..3, 0u16..70), 1..10),
             1..5,
         ),
+        k in 1usize..8,
     ) {
         let n = [2usize, 4][n_idx];
         let (store, router) = build_sharded(n, n_docs, corpus_seed, build_seed);
         let queries: Vec<Query> = tapes.iter().map(|t| ast_from_tape(t)).collect();
-        let pre_split = router.open_searcher().unwrap();
+        let pre_split = Arc::new(router.open_searcher().unwrap());
         let expected: Vec<_> = queries
             .iter()
             .map(|q| canonical(&pre_split.execute(q, &QueryOptions::new()).unwrap().hits))
@@ -121,6 +161,18 @@ proptest! {
             prop_assert_eq!(&stale, want, "old generation after split: {:?}", q);
         }
         prop_assert_eq!(pre_split.layout_generation(), old.generation);
+        // Mid-reshard, the old-generation snapshot also serves through
+        // the async core: same hits, same order, same `top_k` cut.
+        let work: Vec<(Query, QueryOptions)> = queries
+            .iter()
+            .flat_map(|q| {
+                [(q.clone(), QueryOptions::new()), (q.clone(), QueryOptions::new().top_k(k))]
+            })
+            .collect();
+        for ((q, opts), got) in work.iter().zip(serve(&pre_split, &store, &work)) {
+            let direct = pre_split.execute(q, opts).unwrap().hits;
+            prop_assert_eq!(got, direct, "old generation served: {:?} {:?}", q, opts.top_k);
+        }
 
         let (merged_router, split_layout) = split_router
             .merge(

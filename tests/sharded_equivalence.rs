@@ -1,14 +1,16 @@
-//! Sharded vs. unsharded equivalence: scatter-gather over N
-//! hash-partitioned shards must return byte-for-byte the same result
-//! set as a single segmented index over the same zipf corpus — for any
-//! query AST, for N ∈ {1, 2, 4, 8}, and identically whether queries run
-//! sequentially or from 8 concurrent threads.
+//! Sharded vs. unsharded equivalence: N hash-partitioned shards, planned
+//! as one segment list, must return byte-for-byte the same result set as
+//! a single segmented index over the same zipf corpus — for any query
+//! AST, for N ∈ {1, 2, 4, 8}, identically whether queries run
+//! sequentially or from 8 concurrent threads, and identically (hit order
+//! and `top_k` included) when served by the async core with hedging on.
 
 use airphant::{
-    AirphantConfig, Query, QueryOptions, SearchHit, SegmentManager, ShardRouter, ShardedSearcher,
+    AirphantConfig, AsyncQueryServer, AsyncServerConfig, HedgeConfig, Query, QueryOptions,
+    SearchHit, SegmentManager, ShardRouter, ShardedSearcher, SubmitSpec,
 };
 use airphant_corpus::{synth::word_token, zipf, Corpus, SyntheticSpec};
-use airphant_storage::{InMemoryStore, ObjectStore};
+use airphant_storage::{InMemoryStore, LatencyModel, ObjectStore, SimulatedCloudStore};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -62,16 +64,22 @@ fn ast_from_tape(tape: &[(u8, u16)]) -> Query {
 }
 
 /// One zipf corpus, one unsharded segmented reference, and a sharded
-/// layout per shard count — all in one shared in-memory store.
+/// layout per shard count — all in one shared in-memory store, behind a
+/// simulated cloud link so served batches have latencies to hedge on.
 struct Env {
     flat: airphant::SegmentedSearcher,
-    sharded: Vec<(usize, ShardedSearcher)>,
+    sharded: Vec<(usize, Arc<ShardedSearcher>)>,
+    store: Arc<dyn ObjectStore>,
     #[allow(dead_code)]
     corpus: Corpus,
 }
 
 fn build_env(n_docs: u64, corpus_seed: u64, build_seed: u64) -> Env {
-    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let store: Arc<dyn ObjectStore> = Arc::new(SimulatedCloudStore::new(
+        InMemoryStore::new(),
+        LatencyModel::gcs_like(),
+        corpus_seed,
+    ));
     let spec = SyntheticSpec {
         n_docs,
         n_vocab: 60,
@@ -86,14 +94,45 @@ fn build_env(n_docs: u64, corpus_seed: u64, build_seed: u64) -> Env {
         .map(|&n| {
             let router = ShardRouter::create(store.clone(), format!("idx{n}"), n).unwrap();
             router.append(&corpus, &config(build_seed)).unwrap();
-            (n, router.open_searcher().unwrap())
+            (n, Arc::new(router.open_searcher().unwrap()))
         })
         .collect();
     Env {
         flat,
         sharded,
+        store,
         corpus,
     }
+}
+
+/// Every `(query, options)` pair through a caller-pumped async core over
+/// `searcher`, hedging on: the served hits, in submission order.
+fn serve(
+    searcher: &Arc<ShardedSearcher>,
+    replica: &Arc<dyn ObjectStore>,
+    work: &[(Query, QueryOptions)],
+) -> Vec<Vec<SearchHit>> {
+    let hedge = HedgeConfig {
+        percentile: 0.5,
+        min_samples: 2,
+        budget_fraction: 1.0,
+    };
+    let server = AsyncQueryServer::start(
+        searcher.clone(),
+        AsyncServerConfig::new()
+            .with_executor_threads(0)
+            .with_hedge(hedge),
+    )
+    .with_hedge_backend(replica.clone());
+    let tickets: Vec<_> = work
+        .iter()
+        .map(|(q, o)| server.submit_at(q.clone(), o.clone(), SubmitSpec::new()))
+        .collect();
+    server.drain();
+    tickets
+        .into_iter()
+        .map(|t| t.wait().result.expect("served").hits)
+        .collect()
 }
 
 proptest! {
@@ -109,8 +148,24 @@ proptest! {
             prop::collection::vec((0u8..3, 0u16..70), 1..10),
             1..6,
         ),
+        k in 1usize..8,
     ) {
         let env = build_env(n_docs, corpus_seed, build_seed);
+        // Served == direct, byte for byte: the async core drives the
+        // same stages over the same segment list, so hit order and the
+        // `top_k` cut agree too.
+        let work: Vec<(Query, QueryOptions)> = tapes
+            .iter()
+            .map(|t| ast_from_tape(t))
+            .flat_map(|q| [(q.clone(), QueryOptions::new()), (q, QueryOptions::new().top_k(k))])
+            .collect();
+        for (n, searcher) in &env.sharded {
+            let served = serve(searcher, &env.store, &work);
+            for ((query, opts), got) in work.iter().zip(served) {
+                let direct = searcher.execute(query, opts).unwrap().hits;
+                prop_assert_eq!(got, direct, "{} shards served, {:?} {:?}", n, query, opts.top_k);
+            }
+        }
         for tape in &tapes {
             let query = ast_from_tape(tape);
             let expected = canonical(
@@ -137,8 +192,8 @@ proptest! {
     }
 
     /// The same queries fired from 8 concurrent threads return exactly
-    /// the sequential answers at every shard count — the scatter-gather
-    /// read path shares no mutable per-query state.
+    /// the sequential answers at every shard count — the read path
+    /// shares no mutable per-query state.
     #[test]
     fn concurrent_sharded_queries_match_sequential(
         corpus_seed in 0u64..1_000,
