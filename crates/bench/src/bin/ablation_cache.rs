@@ -7,10 +7,15 @@
 //! between bursts; the tiered [`CachedStore`] pins Index-class ranges under
 //! their own budget, so every reopen after the first hits in cache.
 //!
-//! Both arms get the **same total budget** (64 KiB); the tiered arm just
-//! splits it. Headline: `BENCH_cache_tiers.json`, the tiered arm's overall
-//! hit rate (unit `hit_pct`, higher is better), gated in CI. The bench
-//! also exits non-zero if tiering ever does *worse* than the flat LRU.
+//! Both arms get the **same total budget** — the header size read at run
+//! time, rounded up to 4 KiB, plus 40 KiB for Data-class traffic; the
+//! tiered arm just splits it there. Headline: `BENCH_cache_tiers.json`,
+//! the tiered arm's overall hit rate (unit `hit_pct`, higher is better),
+//! gated in CI. The bench also exits non-zero if tiering ever does *worse*
+//! than the flat LRU, judged by bytes fetched from the cloud: hits are
+//! counted per range, so the flat arm — which evicts the header every
+//! round and so has the whole budget for ~1 KiB documents — can win more
+//! small hits than there are reopens while refetching the header 30 times.
 
 use airphant::{AirphantConfig, Searcher};
 use airphant_bench::report::ms;
@@ -19,11 +24,9 @@ use airphant_corpus::QueryWorkload;
 use airphant_storage::{CachedStore, LatencyModel, ObjectStore, SimulatedCloudStore};
 use std::sync::Arc;
 
-/// Equal total cache budget for both arms.
-const TOTAL_BUDGET: usize = 64 << 10;
-/// Tiered split: the index slice must hold the whole header (asserted
-/// below against the actual blob), the rest serves Data-class traffic.
-const INDEX_BUDGET: usize = 24 << 10;
+/// What both arms get on top of the header-sized index slice: the tiered
+/// arm's whole Data-class budget.
+const DATA_BUDGET: usize = 40 << 10;
 /// Reopen-heavy workload: bursts of queries with a fresh `Searcher`
 /// (fresh header fetch) before each burst.
 const ROUNDS: usize = 30;
@@ -34,9 +37,9 @@ fn main() {
         .into_iter()
         .find(|s| s.kind == DatasetKind::Cranfield)
         .unwrap();
-    // Small-corpus regime: 1k bins keeps the header a realistic couple of
-    // dozen KiB — big enough to matter inside a 64 KiB cache, small
-    // enough to fit the tiered index slice.
+    // Small-corpus regime: 1k bins. The header's size is whatever the
+    // format makes it (the vocabulary section dominates), so the budgets
+    // derive from it instead of assuming it.
     let config = AirphantConfig::default()
         .with_total_bins(1_000)
         .with_seed(1);
@@ -45,11 +48,11 @@ fn main() {
         .raw_store()
         .size_of("idx/airphant/header")
         .expect("header blob exists");
-    assert!(
-        (header_len as usize) <= INDEX_BUDGET,
-        "header ({header_len} B) must fit the index slice ({INDEX_BUDGET} B) — \
-         shrink total_bins or grow the slice"
-    );
+    // Tiered split: the index slice holds the whole header (4 KiB
+    // granules), the rest serves Data-class traffic. Equal total for both
+    // arms.
+    let index_budget = (header_len as usize).next_multiple_of(4 << 10);
+    let total_budget = index_budget + DATA_BUDGET;
 
     // Scan-like workload (the paper's uniform query prior): each burst
     // asks for *different* words, so Data-class traffic has almost no
@@ -72,10 +75,10 @@ fn main() {
             "bytes_from_cloud",
         ],
     );
-    let mut rates = Vec::new();
+    let mut arms = Vec::new();
     for (label, data_budget, index_budget) in [
-        ("flat-lru-64KiB", TOTAL_BUDGET, 0usize),
-        ("tiered-64KiB", TOTAL_BUDGET - INDEX_BUDGET, INDEX_BUDGET),
+        ("flat-lru", total_budget, 0usize),
+        ("tiered", DATA_BUDGET, index_budget),
     ] {
         let cloud = SimulatedCloudStore::new(env.raw_store(), LatencyModel::gcs_like(), 42);
         let cached = Arc::new(CachedStore::with_budgets(cloud, data_budget, index_budget));
@@ -99,7 +102,7 @@ fn main() {
         let cache = cached.stats();
         let rate_pct = cache.hit_rate() * 100.0;
         let cloud_bytes = cached.inner().stats().bytes_read;
-        rates.push((label, rate_pct));
+        arms.push((rate_pct, cloud_bytes));
         report.push(
             vec![
                 label.to_string(),
@@ -126,16 +129,16 @@ fn main() {
     }
     report.finish();
 
-    let (_, flat_rate) = rates[0];
-    let (_, tiered_rate) = rates[1];
+    let (flat_rate, flat_bytes) = arms[0];
+    let (tiered_rate, tiered_bytes) = arms[1];
     Headline::new(
         "cache_tiers",
         "tiered_hit_rate_pct",
         tiered_rate,
         "hit_pct",
         serde_json::json!({
-            "total_budget_bytes": TOTAL_BUDGET,
-            "index_budget_bytes": INDEX_BUDGET,
+            "total_budget_bytes": total_budget,
+            "index_budget_bytes": index_budget,
             "rounds": ROUNDS,
             "queries_per_round": QUERIES_PER_ROUND,
             "header_bytes": header_len,
@@ -146,14 +149,14 @@ fn main() {
     .write();
 
     println!(
-        "hit rate at equal {TOTAL_BUDGET}-byte budget: flat {flat_rate:.1}%, \
-         tiered {tiered_rate:.1}% — the tiered cache pins the header under its \
-         own slice, so reopen-heavy workloads stop refetching Index-class bytes"
+        "at equal {total_budget}-byte budget: flat {flat_rate:.1}% hits, {flat_bytes} B from \
+         cloud; tiered {tiered_rate:.1}% hits, {tiered_bytes} B — the tiered cache pins the \
+         header under its own slice, so reopen-heavy workloads stop refetching Index-class bytes"
     );
-    if tiered_rate + 1e-9 < flat_rate {
+    if tiered_bytes > flat_bytes {
         eprintln!(
-            "FAIL: tiered admission ({tiered_rate:.2}%) fell below the flat LRU \
-             ({flat_rate:.2}%) at the same total budget"
+            "FAIL: tiered admission fetched more from the cloud ({tiered_bytes} B) than the \
+             flat LRU ({flat_bytes} B) at the same total budget"
         );
         std::process::exit(1);
     }

@@ -14,10 +14,14 @@
 //!    segment build and manifest CAS.
 //! 2. **Freshness lag**: after each sampled append, execute a query that
 //!    must return the just-appended document and record the query's
-//!    simulated storage time (`trace.total()`). Appends are searchable
-//!    before any durability — the lag is the cost of the search that
-//!    sees them, dominated by the durable segments' simulated reads, not
-//!    by a flush. Headline: p99 lag in simulated ms.
+//!    latency (`trace.total()`). Appends are searchable before any
+//!    durability, and the probed id lives in the memtable only, so the
+//!    planner's vocabulary pruning reads no durable segment for it: the
+//!    lag is a few microseconds of host compute, reported but too small
+//!    and too host-dependent for a 25 % gate. What is exit-coded instead
+//!    is the property behind it — every probe spends **zero** simulated
+//!    storage time (it was 170 ms p99 when every durable segment was
+//!    read for every probe).
 //! 3. **Equality check** (exit-coded): canonical live hits before the
 //!    final flush must equal both the live hits after it and a cold
 //!    durable-only open — the streaming guarantee the proptests pin,
@@ -29,7 +33,7 @@ use airphant::{
 };
 use airphant_bench::{Headline, Report};
 use airphant_storage::{
-    BatchFetch, Fetched, InMemoryStore, LatencyModel, ObjectStore, RangeRequest,
+    BatchFetch, Fetched, InMemoryStore, LatencyModel, ObjectStore, RangeRequest, SimDuration,
     SimulatedCloudStore, Version,
 };
 use bytes::Bytes;
@@ -182,6 +186,10 @@ fn main() {
                 ok = false;
             }
             lags_ms.push(r.trace.total().as_millis_f64());
+            if r.trace.wait() + r.trace.download() > SimDuration::ZERO {
+                eprintln!("FAIL: probe {newest} read a durable segment for an id it cannot hold");
+                ok = false;
+            }
         }
         if i % FLUSH_EVERY == FLUSH_EVERY - 1 {
             idx.flush().expect("flush");
@@ -232,7 +240,7 @@ fn main() {
     report.push(
         vec![
             "freshness".into(),
-            format!("p50 {lag_p50:.1}ms / p99 {lag_p99:.1}ms"),
+            format!("p50 {lag_p50:.3}ms / p99 {lag_p99:.3}ms"),
             format!("{} probes, every {PROBE_EVERY} appends", lags_ms.len()),
         ],
         serde_json::json!({
@@ -284,23 +292,12 @@ fn main() {
         "latency_model": "gcs_like",
         "seed": 11,
     });
-    let p1 = Headline::new(
-        "ingest",
-        "docs_per_sec_virtual",
-        docs_per_sec,
-        "ops",
-        cfg.clone(),
-    )
-    .write();
-    let p2 = Headline::new("ingest_freshness", "freshness_lag_p99", lag_p99, "ms", cfg).write();
+    let p1 = Headline::new("ingest", "docs_per_sec_virtual", docs_per_sec, "ops", cfg).write();
     println!(
         "headline: {docs_per_sec:.0} docs/s_sim sustained -> {}",
         p1.display()
     );
-    println!(
-        "headline: freshness lag p50 {lag_p50:.1}ms p99 {lag_p99:.1}ms -> {}",
-        p2.display()
-    );
+    println!("freshness lag p50 {lag_p50:.3}ms p99 {lag_p99:.3}ms, no probe waited on storage");
 
     if !ok {
         std::process::exit(1);

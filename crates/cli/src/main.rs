@@ -791,18 +791,22 @@ fn search(args: &mut Args) -> Result<(), String> {
         &words, any, substring, ngram, gram, prefix, fuzzy, max_edits,
     )?;
     let opts = QueryOptions::new().with_top_k(top_k);
-    let result = open_engine(store, &index, tokenizer_for(ngram)?)?
-        .execute(&query, &opts)
-        .map_err(|e| e.to_string())?;
+    let engine = open_engine(store, &index, tokenizer_for(ngram)?)?;
+    let result = engine.execute(&query, &opts).map_err(|e| e.to_string())?;
+    let mut segments = 0;
+    engine.with_segments(&mut |s| segments = s.len());
 
     println!(
-        "{} hit(s) in {} simulated ({} round trip(s), {} requests, {} bytes, {} FP filtered)",
+        "{} hit(s) in {} simulated ({} round trip(s), {} requests, {} bytes, {} FP filtered, \
+         segments read {}/{})",
         result.hits.len(),
         result.latency(),
         result.trace.round_trips(),
         result.trace.requests(),
         result.trace.bytes(),
         result.false_positives_removed,
+        result.trace.segments_read(),
+        segments,
     );
     for hit in &result.hits {
         println!("{}@{}+{}\t{}", hit.blob, hit.offset, hit.len, hit.text);

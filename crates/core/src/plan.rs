@@ -2,10 +2,16 @@
 //!
 //! **Stage 1 — plan.** Walk the [`Query`] AST and collect every distinct
 //! lookup atom (terms, phrase words, substring grams) via
-//! [`Query::atoms`]. For each segment's in-memory MHT, resolve every
-//! atom to its superpost pointers and coalesce *all* resulting ranged
+//! [`Query::atoms`]. For each segment, keep the atoms that can still
+//! contribute there — a segment's resident
+//! [`Vocabulary`](iou_sketch::Vocabulary) proves an atom it does not hold
+//! empty, and a conjunction with a proved-empty member reads nothing
+//! ([`Query::mark_live`]) — resolve those through the segment's in-memory
+//! MHT to their superpost pointers, and coalesce *all* resulting ranged
 //! reads — across atoms, layers, and segments — into a single request
-//! vector, deduplicating identical ranges.
+//! vector, deduplicating identical ranges. A segment that cannot match
+//! costs zero reads; one without a vocabulary (format v1) is planned for
+//! every atom.
 //!
 //! **Stage 2 — execute.** Issue the whole vector as **one**
 //! [`ObjectStore::get_ranges`] batch (one storage round trip, §III-C),
@@ -14,11 +20,14 @@
 //! candidate documents in one more batch and run the exact verify pass.
 //!
 //! The old per-term execution paid one lookup round trip per term/gram
-//! (and per segment); the planner pays exactly one regardless of query
-//! shape — `trace.round_trips_of(PhaseKind::Postings) == 1` is asserted
-//! in the test suite.
+//! (and per segment); the planner pays **at most one** regardless of
+//! query shape: exactly one whenever any segment has a live atom —
+//! `trace.round_trips_of(PhaseKind::Postings) == 1` is asserted in the
+//! test suite — and no read and no batch at all exactly when the
+//! vocabularies prove the query empty in every segment, in which case
+//! the answer is empty.
 
-use crate::query::{Query, QueryOptions};
+use crate::query::{AtomState, Query, QueryOptions};
 use crate::result::{SearchHit, SearchResult};
 use crate::retrieval::BlobResolver;
 use crate::searcher::{sample_postings, seed_for, Searcher};
@@ -26,7 +35,9 @@ use crate::Result;
 use airphant_corpus::Tokenizer;
 use airphant_storage::{BatchFetch, ObjectStore, PhaseKind, QueryTrace, RangeRequest, SimDuration};
 use iou_sketch::mht::WordLookup;
-use iou_sketch::{intersect_views, sample_size_for_top_k, Posting, PostingsList, SuperpostView};
+use iou_sketch::{
+    intersect_views, sample_size_for_top_k, BinPointer, Posting, PostingsList, SuperpostView,
+};
 use std::collections::HashMap;
 
 /// Per-atom postings for each segment, resolved in one storage batch.
@@ -51,50 +62,78 @@ pub(crate) struct PostingsPlan {
 
 /// Plan the postings phase: coalesce every superpost pointer — across
 /// atoms, layers, and segments — into one deduplicated request vector.
-pub(crate) fn plan_postings(segments: &[&Searcher], atoms: &[String]) -> PostingsPlan {
+///
+/// `atoms` are `query.atoms()` (the query already expanded). A segment
+/// that carries a [`Vocabulary`](iou_sketch::Vocabulary) is planned only
+/// for the atoms [`Query::mark_live`] keeps there; the others are left out
+/// of its plan and resolve to the empty list. A segment without one (v1,
+/// or v2 written before the vocabulary section) is planned for every
+/// atom. What the vocabularies removed is recorded on `trace`.
+pub(crate) fn plan_postings(
+    segments: &[&Searcher],
+    query: &Query,
+    atoms: &[String],
+    trace: &mut QueryTrace,
+) -> PostingsPlan {
     let mut requests: Vec<RangeRequest> = Vec::new();
-    let mut request_index: HashMap<(String, u64, u64), usize> = HashMap::new();
-    let mut push_request = |req: RangeRequest, requests: &mut Vec<RangeRequest>| -> usize {
-        let key = (req.name.clone(), req.offset, req.len);
-        *request_index.entry(key).or_insert_with(|| {
-            requests.push(req);
-            requests.len() - 1
-        })
-    };
+    // Keyed on the pointer, not the blob name: the name is only built for
+    // a range that is actually new.
+    let mut request_index: HashMap<(usize, BinPointer), usize> = HashMap::new();
+    let atom_index: HashMap<&str, usize> = atoms
+        .iter()
+        .enumerate()
+        .map(|(i, atom)| (atom.as_str(), i))
+        .collect();
+    // One buffer for every segment's walk.
+    let mut states = vec![AtomState::Live; atoms.len()];
+    let mut pruned_lookups = 0u64;
+    let mut segments_read = 0u64;
 
-    // Per segment, per atom: the request indices whose decoded superposts
-    // intersect to the atom's postings.
+    // Per segment, per live atom: the request indices whose decoded
+    // superposts intersect to the atom's postings.
     let mut fetch_plan: Vec<Vec<(usize, Vec<usize>)>> = Vec::with_capacity(segments.len());
-    for searcher in segments {
-        let mut seg_plan = Vec::with_capacity(atoms.len());
+    for (seg_idx, searcher) in segments.iter().enumerate() {
+        match searcher.vocab() {
+            Some(vocab) => {
+                for (state, atom) in states.iter_mut().zip(atoms) {
+                    *state = if vocab.contains(atom) {
+                        AtomState::Present
+                    } else {
+                        AtomState::Absent
+                    };
+                }
+                query.mark_live(&atom_index, &mut states);
+            }
+            None => states.fill(AtomState::Live),
+        }
+        let live = states.iter().filter(|&&s| s == AtomState::Live).count();
+        pruned_lookups += (atoms.len() - live) as u64;
+        segments_read += u64::from(live > 0);
+
+        let mut push_request = |ptr: BinPointer| -> usize {
+            *request_index.entry((seg_idx, ptr)).or_insert_with(|| {
+                requests.push(RangeRequest::superpost(
+                    searcher.resolve_block(ptr.block),
+                    ptr.offset,
+                    ptr.len as u64,
+                ));
+                requests.len() - 1
+            })
+        };
+        let mut seg_plan = Vec::with_capacity(live);
         for (atom_idx, atom) in atoms.iter().enumerate() {
+            if states[atom_idx] != AtomState::Live {
+                continue;
+            }
             let indices: Vec<usize> = match searcher.mht().lookup(atom) {
-                WordLookup::Common(ptr) => vec![push_request(
-                    RangeRequest::superpost(
-                        searcher.resolve_block(ptr.block),
-                        ptr.offset,
-                        ptr.len as u64,
-                    ),
-                    &mut requests,
-                )],
-                WordLookup::Sketched(ptrs) => ptrs
-                    .iter()
-                    .map(|p| {
-                        push_request(
-                            RangeRequest::superpost(
-                                searcher.resolve_block(p.block),
-                                p.offset,
-                                p.len as u64,
-                            ),
-                            &mut requests,
-                        )
-                    })
-                    .collect(),
+                WordLookup::Common(ptr) => vec![push_request(ptr)],
+                WordLookup::Sketched(ptrs) => ptrs.into_iter().map(&mut push_request).collect(),
             };
             seg_plan.push((atom_idx, indices));
         }
         fetch_plan.push(seg_plan);
     }
+    trace.record_pruning(pruned_lookups, segments_read);
 
     PostingsPlan {
         requests,
@@ -137,7 +176,7 @@ pub(crate) fn complete_postings(
 
     let mut out: SegmentAtomPostings = Vec::with_capacity(plan.fetch_plan.len());
     for seg_plan in &plan.fetch_plan {
-        let mut map = HashMap::with_capacity(atoms.len());
+        let mut map = HashMap::with_capacity(seg_plan.len());
         for (atom_idx, indices) in seg_plan {
             let refs: Vec<&SuperpostView> = indices
                 .iter()
@@ -155,15 +194,17 @@ pub(crate) fn complete_postings(
 }
 
 /// Resolve `atoms` against every segment's MHT and fetch all superposts
-/// in a single concurrent batch, recording one [`PhaseKind::Postings`]
-/// phase on `trace`. Returns, per segment, each atom's intersected
+/// in a single concurrent batch, recording at most one
+/// [`PhaseKind::Postings`] phase on `trace` (none when no segment has a
+/// live atom). Returns, per segment, each live atom's intersected
 /// postings list.
 pub(crate) fn lookup_atoms(
     segments: &[&Searcher],
+    query: &Query,
     atoms: &[String],
     trace: &mut QueryTrace,
 ) -> Result<SegmentAtomPostings> {
-    let plan = plan_postings(segments, atoms);
+    let plan = plan_postings(segments, query, atoms, trace);
     if plan.requests.is_empty() {
         return Ok(segments.iter().map(|_| HashMap::new()).collect());
     }
@@ -181,7 +222,7 @@ fn evaluate_segment(query: &Query, atom_postings: &HashMap<String, PostingsList>
 
 /// Index-lookup phase only: plan, fetch one superpost batch, evaluate
 /// the boolean algebra. Returns the union of every segment's candidate
-/// postings and the lookup trace (exactly one round trip).
+/// postings and the lookup trace (at most one round trip).
 pub(crate) fn lookup_over(
     segments: &[&Searcher],
     query: &Query,
@@ -190,7 +231,7 @@ pub(crate) fn lookup_over(
     let query = query.as_ref();
     let atoms = query.atoms()?;
     let mut trace = QueryTrace::new();
-    let maps = lookup_atoms(segments, &atoms, &mut trace)?;
+    let maps = lookup_atoms(segments, query, &atoms, &mut trace)?;
     let mut out = PostingsList::new();
     for map in &maps {
         out.union_with(&evaluate_segment(query, map));
@@ -347,7 +388,7 @@ pub(crate) fn execute_over(
     let query = query.as_ref();
     let atoms = query.atoms()?;
     let mut trace = QueryTrace::new();
-    let maps = lookup_atoms(segments, &atoms, &mut trace)?;
+    let maps = lookup_atoms(segments, query, &atoms, &mut trace)?;
 
     let doc_plan = plan_documents(segments, query, opts, &maps);
     let batch = if doc_plan.requests.is_empty() {

@@ -19,6 +19,7 @@
 use crate::error::AirphantError;
 use airphant_corpus::{NgramTokenizer, Tokenizer};
 use iou_sketch::{levenshtein_within, PostingsList};
+use std::collections::HashMap;
 
 /// A composable search predicate.
 ///
@@ -267,6 +268,47 @@ impl Query {
         }
     }
 
+    /// Per-segment liveness walk: given which atoms the segment's
+    /// vocabulary holds (`states`, indexed like [`Query::atoms`] through
+    /// `atom_index`; every entry [`AtomState::Absent`] or
+    /// [`AtomState::Present`]), raise to [`AtomState::Live`] exactly the
+    /// atoms whose postings can still reach the result there. An absent
+    /// `Term` is dead; a `Phrase`/`Substring`/`And` with any dead child is
+    /// dead as a whole, so its other children read nothing on its behalf;
+    /// an `Or` keeps its live children. An atom left below `Live` is one
+    /// the planner may skip: [`Query::evaluate`] resolves it to the empty
+    /// list, which is what it, or the dead node that needed it, is in
+    /// that segment.
+    pub(crate) fn mark_live(&self, atom_index: &HashMap<&str, usize>, states: &mut [AtomState]) {
+        match self {
+            Query::Or(qs) => qs.iter().for_each(|q| q.mark_live(atom_index, states)),
+            _ if !self.can_match(atom_index, states) => {}
+            Query::And(qs) => qs.iter().for_each(|q| q.mark_live(atom_index, states)),
+            Query::Term(w) => raise(w, atom_index, states),
+            Query::Phrase(ws) => ws.iter().for_each(|w| raise(w, atom_index, states)),
+            Query::Substring { pattern, n } => {
+                if let Ok(grams) = substring_grams(pattern, *n) {
+                    grams.iter().for_each(|g| raise(g, atom_index, states));
+                }
+            }
+            Query::Prefix { .. } | Query::Fuzzy { .. } => {}
+        }
+    }
+
+    /// Whether this node can match a document of a segment whose
+    /// vocabulary holds exactly the non-`Absent` atoms of `states`.
+    fn can_match(&self, atom_index: &HashMap<&str, usize>, states: &[AtomState]) -> bool {
+        match self {
+            Query::Term(w) => is_present(w, atom_index, states),
+            Query::Phrase(ws) => ws.iter().all(|w| is_present(w, atom_index, states)),
+            Query::And(qs) => qs.iter().all(|q| q.can_match(atom_index, states)),
+            Query::Or(qs) => qs.iter().any(|q| q.can_match(atom_index, states)),
+            Query::Substring { pattern, n } => substring_grams(pattern, *n)
+                .is_ok_and(|grams| grams.iter().all(|g| is_present(g, atom_index, states))),
+            Query::Prefix { .. } | Query::Fuzzy { .. } => false,
+        }
+    }
+
     /// Evaluate the query over per-atom postings (the `⋃⋂Q(w)` identity).
     /// Unknown atoms resolve to the empty list. Substring patterns too
     /// short to carry grams evaluate to the empty list (use
@@ -397,6 +439,30 @@ impl From<&str> for Query {
 impl From<String> for Query {
     fn from(word: String) -> Self {
         Query::term(word)
+    }
+}
+
+/// What one segment's vocabulary says about one query atom (see
+/// [`Query::mark_live`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AtomState {
+    /// Not in the segment's vocabulary: no document there contains it.
+    Absent,
+    /// In the vocabulary, but no node that could match needs it.
+    Present,
+    /// In the vocabulary and needed: the planner reads its superposts.
+    Live,
+}
+
+fn is_present(atom: &str, atom_index: &HashMap<&str, usize>, states: &[AtomState]) -> bool {
+    atom_index
+        .get(atom)
+        .is_some_and(|&i| states[i] != AtomState::Absent)
+}
+
+fn raise(atom: &str, atom_index: &HashMap<&str, usize>, states: &mut [AtomState]) {
+    if let Some(&i) = atom_index.get(atom) {
+        states[i] = AtomState::Live;
     }
 }
 
@@ -742,6 +808,64 @@ mod tests {
         // Empty operands.
         assert!(Query::And(vec![]).evaluate(&lookup).is_empty());
         assert!(Query::Or(vec![]).evaluate(&lookup).is_empty());
+    }
+
+    /// The atoms `mark_live` keeps when the segment holds `present`.
+    fn live_atoms(q: &Query, present: &[&str]) -> Vec<String> {
+        let atoms = q.atoms().unwrap();
+        let index: HashMap<&str, usize> = atoms
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (a.as_str(), i))
+            .collect();
+        let mut states: Vec<AtomState> = atoms
+            .iter()
+            .map(|a| {
+                if present.contains(&a.as_str()) {
+                    AtomState::Present
+                } else {
+                    AtomState::Absent
+                }
+            })
+            .collect();
+        q.mark_live(&index, &mut states);
+        atoms
+            .into_iter()
+            .zip(states)
+            .filter(|(_, s)| *s == AtomState::Live)
+            .map(|(a, _)| a)
+            .collect()
+    }
+
+    #[test]
+    fn mark_live_keeps_only_atoms_that_can_reach_the_result() {
+        let q = Query::term("a");
+        assert_eq!(live_atoms(&q, &["a"]), ["a"]);
+        assert!(live_atoms(&q, &[]).is_empty());
+        // A conjunction with a missing member silences its other members…
+        let q = Query::all([Query::term("a"), Query::term("b")]);
+        assert!(live_atoms(&q, &["a"]).is_empty());
+        assert_eq!(live_atoms(&q, &["a", "b"]), ["a", "b"]);
+        // …unless another live branch still needs them.
+        let q = Query::any([
+            Query::all([Query::term("a"), Query::term("b")]),
+            Query::term("a"),
+            Query::phrase(["c", "d"]),
+        ]);
+        assert_eq!(live_atoms(&q, &["a", "c"]), ["a"]);
+        assert_eq!(live_atoms(&q, &["a", "c", "d"]), ["a", "c", "d"]);
+        // An `Or` is dead only when every child is, and then kills its
+        // conjunction.
+        let q = Query::all([
+            Query::term("a"),
+            Query::any([Query::term("b"), Query::term("c")]),
+        ]);
+        assert_eq!(live_atoms(&q, &["a", "c"]), ["a", "c"]);
+        assert!(live_atoms(&q, &["a"]).is_empty());
+        // A substring is the conjunction of its grams.
+        let q = Query::substring("abcd", 3);
+        assert!(live_atoms(&q, &["abc"]).is_empty());
+        assert_eq!(live_atoms(&q, &["abc", "bcd"]), ["abc", "bcd"]);
     }
 
     #[test]

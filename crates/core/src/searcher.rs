@@ -366,9 +366,10 @@ impl Searcher {
     }
 
     /// Index-lookup phase of [`Searcher::execute`] only: resolve the whole
-    /// query's candidate postings in exactly one storage round trip
-    /// (`trace.round_trips() == 1`). This is the compound-query
-    /// counterpart of [`Searcher::lookup`].
+    /// query's candidate postings in at most one storage round trip
+    /// (`trace.round_trips() == 1`, or `0` when the vocabulary proves the
+    /// query empty). This is the compound-query counterpart of
+    /// [`Searcher::lookup`].
     pub fn execute_lookup(&self, query: &crate::Query) -> Result<(PostingsList, QueryTrace)> {
         crate::plan::lookup_over(&[self], query)
     }

@@ -410,10 +410,11 @@ impl SegmentedSearcher {
     }
 
     /// Execute a [`Query`](crate::Query) across every segment through the
-    /// single-batch planner: all segments' superpost pointers for all the
-    /// query's terms/grams are coalesced into **one**
-    /// `ObjectStore::get_ranges` batch (one round trip, not one per
-    /// segment), then each segment's candidates are evaluated, fetched in
+    /// single-batch planner: the superpost pointers of every segment that
+    /// can match (see `crate::plan`) for the query's terms/grams are
+    /// coalesced into **one** `ObjectStore::get_ranges` batch (one round
+    /// trip, not one per segment), then each segment's candidates are
+    /// evaluated, fetched in
     /// one document batch, and filtered exactly. Hits keep append order
     /// (older segments first).
     pub fn execute(
@@ -426,7 +427,7 @@ impl SegmentedSearcher {
     }
 
     /// Index-lookup phase only: the whole query's candidate postings,
-    /// unioned across segments, in exactly one storage round trip.
+    /// unioned across segments, in at most one storage round trip.
     pub fn execute_lookup(
         &self,
         query: &crate::Query,

@@ -1031,9 +1031,10 @@ fn empty_batch() -> BatchFetch {
 }
 
 /// Postings planning over the engine's segments; falls through to the
-/// document stage when every atom resolves without storage traffic.
+/// document stage when no segment has anything to read (no atoms, or the
+/// vocabularies prove the query empty everywhere).
 fn postings_step(segments: &[&crate::Searcher], flight: &mut Flight) -> StepOutcome {
-    let plan = plan_postings(segments, &flight.atoms);
+    let plan = plan_postings(segments, &flight.query, &flight.atoms, &mut flight.trace);
     if plan.requests.is_empty() {
         match complete_postings(&plan, &flight.atoms, &empty_batch(), &mut flight.trace) {
             Ok(mut maps) => {

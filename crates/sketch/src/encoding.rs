@@ -333,7 +333,7 @@ pub fn decode_superpost_from(cur: &mut Cursor<'_>) -> Result<PostingsList> {
 /// Pointer to one superpost inside the compacted superpost blocks:
 /// "each bin pointer need\[s\] to represent block ID, offset, and byte length
 /// to retrieve the superpost's bytes in a single round-trip" (§IV-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct BinPointer {
     /// Superpost block id (blob index).
     pub block: u32,

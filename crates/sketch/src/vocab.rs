@@ -71,6 +71,36 @@ impl Vocabulary {
         &self.terms
     }
 
+    /// Whether `term` is one of the indexed terms: a binary search over the
+    /// contiguous `text`/`starts` arrays (byte order is `str` order), so a
+    /// probe chases no per-term heap pointer. This is the planner's
+    /// per-segment pruning test — a segment whose vocabulary lacks a term
+    /// holds no document containing it.
+    pub fn contains(&self, term: &str) -> bool {
+        let term = term.as_bytes();
+        let (mut lo, mut hi) = (0, self.starts.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.term_bytes(mid).cmp(term) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+
+    /// The bytes of term `i` inside `text` (up to the next term's
+    /// separator, or the end of the text for the last term).
+    fn term_bytes(&self, i: usize) -> &[u8] {
+        let start = self.starts[i] as usize;
+        let end = match self.starts.get(i + 1) {
+            Some(&next) => next as usize - 1,
+            None => self.text.len(),
+        };
+        &self.text[start..end]
+    }
+
     /// All terms starting with `prefix` — the contiguous run of the sorted
     /// term list found by binary search, `O(m log V)`.
     pub fn prefix_matches(&self, prefix: &str) -> &[String] {
@@ -297,6 +327,21 @@ mod tests {
             5,
             "empty prefix matches everything"
         );
+    }
+
+    #[test]
+    fn contains_agrees_with_the_term_list() {
+        let v = vocab(&["", "a", "ab", "abc", "b", "zé", "zz"]);
+        for t in v.terms() {
+            assert!(v.contains(t), "{t:?}");
+        }
+        // Absent neighbours on both sides of present terms, and a probe
+        // that only exists across the separator between two terms.
+        for t in ["aa", "abd", "c", "z", "zzz", "a\0ab"] {
+            assert!(!v.contains(t), "{t:?}");
+        }
+        assert!(!vocab(&[]).contains("a"));
+        assert!(!vocab(&["a"]).contains(""));
     }
 
     #[test]

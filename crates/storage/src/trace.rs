@@ -74,6 +74,11 @@ impl PhaseTrace {
 #[derive(Debug, Clone, Default)]
 pub struct QueryTrace {
     phases: Vec<PhaseTrace>,
+    /// `(segment, atom)` lookups the planner skipped because the segment's
+    /// vocabulary proved them empty.
+    pruned_lookups: u64,
+    /// Segments the postings plan read at least one superpost from.
+    segments_read: u64,
 }
 
 impl QueryTrace {
@@ -154,9 +159,30 @@ impl QueryTrace {
         });
     }
 
+    /// Record what the postings planner decided before any read: how many
+    /// `(segment, atom)` lookups the segment vocabularies removed, and how
+    /// many segments were left with something to read.
+    pub fn record_pruning(&mut self, pruned_lookups: u64, segments_read: u64) {
+        self.pruned_lookups += pruned_lookups;
+        self.segments_read += segments_read;
+    }
+
+    /// `(segment, atom)` lookups skipped because the segment's vocabulary
+    /// does not hold the atom (or a conjunction it sits under is dead
+    /// there) — superposts that were never requested.
+    pub fn pruned_lookups(&self) -> u64 {
+        self.pruned_lookups
+    }
+
+    /// Segments the query read at least one superpost from.
+    pub fn segments_read(&self) -> u64 {
+        self.segments_read
+    }
+
     /// Append all phases of another trace (e.g. merge init into a query).
     pub fn extend(&mut self, other: &QueryTrace) {
         self.phases.extend(other.phases.iter().cloned());
+        self.record_pruning(other.pruned_lookups, other.segments_read);
     }
 
     /// The recorded phases, in execution order.
@@ -197,7 +223,7 @@ impl QueryTrace {
     /// Number of dependent storage round trips (batches) the query paid,
     /// excluding one-time initialization traffic. This is the quantity the
     /// paper's single-batch guarantee bounds: an Airphant index lookup is
-    /// exactly one round trip no matter how many terms, grams, layers, or
+    /// at most one round trip no matter how many terms, grams, layers, or
     /// segments the query touches; hierarchical baselines pay one per
     /// dependent read.
     pub fn round_trips(&self) -> u64 {
@@ -279,6 +305,10 @@ impl QueryTrace {
         let compute: SimDuration = traces.iter().map(|t| t.compute()).sum();
         if compute > SimDuration::ZERO {
             merged.record_compute(compute);
+        }
+        // Sub-queries cover disjoint segments: their planner counts add.
+        for t in traces {
+            merged.record_pruning(t.pruned_lookups, t.segments_read);
         }
         merged
     }
@@ -424,6 +454,19 @@ mod tests {
         assert_eq!(m.compute(), SimDuration::from_millis(1));
         assert_eq!(m.requests(), 5);
         assert_eq!(m.bytes(), 500);
+    }
+
+    #[test]
+    fn pruning_counts_survive_extend_and_merge() {
+        let mut a = QueryTrace::new();
+        a.record_pruning(3, 1);
+        let mut b = QueryTrace::new();
+        b.record_pruning(2, 4);
+        let m = QueryTrace::merge_parallel(&[a.clone(), b.clone()]);
+        assert_eq!((m.pruned_lookups(), m.segments_read()), (5, 5));
+        a.extend(&b);
+        assert_eq!((a.pruned_lookups(), a.segments_read()), (5, 5));
+        assert_eq!(a.round_trips(), 0, "planner counts are not phases");
     }
 
     #[test]

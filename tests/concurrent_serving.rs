@@ -332,10 +332,13 @@ proptest! {
             prop_assert_eq!(&got, &expected, "query {:?} diverged from oracle", &q);
             let atoms = q.atoms().unwrap();
             if !atoms.is_empty() {
-                prop_assert_eq!(
-                    trace.round_trips_of(PhaseKind::Postings),
-                    1,
-                    "lookup must stay one batch under concurrency"
+                // At most one batch; none only when the vocabulary proved
+                // the query empty, and then the answer is empty.
+                let batches = trace.round_trips_of(PhaseKind::Postings);
+                prop_assert!(
+                    batches == 1 || (batches == 0 && got.is_empty()),
+                    "lookup must stay one batch under concurrency, got {}",
+                    batches
                 );
             }
         }

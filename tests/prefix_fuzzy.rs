@@ -3,7 +3,7 @@
 //! documents a linear scan would — through the sync `Searcher`, the
 //! staged lookup/complete halves, the async serving core, and
 //! sharded layouts at N ∈ {1, 2, 4, 8} — while the whole
-//! vocabulary expansion still pays exactly one postings batch. Segments
+//! vocabulary expansion still pays at most one postings batch. Segments
 //! without a vocabulary (format v1) degrade to a typed
 //! [`AirphantError::UnsupportedQuery`], never a panic.
 
@@ -338,4 +338,55 @@ fn v1_segments_reject_prefix_fuzzy_with_typed_error() {
             .collect::<BTreeSet<_>>(),
         oracle(&Query::term("w1"), &docs)
     );
+}
+
+/// ADR 004's regression: planned as one segment list, a sharded index
+/// looked every expanded term up in every shard (114/228/456/912
+/// superpost reads at N = 1/2/4/8 for the async case's six queries).
+/// With the planner pruning by vocabulary each shard reads only the terms
+/// it owns again — at most the per-shard scatter's 114/211/325/382 — for
+/// the same 129 hits.
+#[test]
+fn sharded_expansion_reads_only_the_terms_each_shard_owns() {
+    let docs: Vec<Vec<u8>> = (0..40u8)
+        .map(|i| {
+            vec![
+                i % 30,
+                (i as u16 * 7 % 30) as u8,
+                (i as u16 * 13 % 30) as u8,
+            ]
+        })
+        .collect();
+    let queries = [
+        Query::prefix("w1"),
+        Query::prefix("w2"),
+        Query::fuzzy("w5", 1),
+        Query::prefix("w1").and(Query::fuzzy("w7", 1)),
+        Query::term("w3").or(Query::prefix("w2")),
+        Query::prefix("zzz"),
+    ];
+    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let whole = whitespace_corpus(store.clone(), "c/docs", &docs);
+    for (n, ceiling) in SHARD_COUNTS.into_iter().zip([114, 211, 325, 382]) {
+        let router = ShardRouter::create(store.clone(), format!("idx{n}"), n).unwrap();
+        router.append(&whole, &config(7)).unwrap();
+        let searcher = router.open_searcher().unwrap();
+        let (mut reads, mut hits) = (0, 0);
+        for query in &queries {
+            let r = searcher.execute(query, &QueryOptions::new()).unwrap();
+            reads += r
+                .trace
+                .phases()
+                .iter()
+                .filter(|p| p.kind == PhaseKind::Postings)
+                .map(|p| p.requests)
+                .sum::<u64>();
+            hits += r.hits.len();
+        }
+        assert_eq!(hits, 129, "{n} shards");
+        assert!(
+            reads <= ceiling,
+            "{n} shards: {reads} superpost reads, ceiling {ceiling}"
+        );
+    }
 }
